@@ -35,6 +35,7 @@ from .presentation import (
     Presentation,
     build_presentation,
     format_vector,
+    full_unit_sum,
     parse_vector,
     presentation_to_data,
     relation_matrix,
@@ -51,6 +52,7 @@ from .semigroup import (
     equivalent,
     is_progenerator,
     torsion_to_data,
+    torsion_type,
 )
 
 EXIT_OK = 0
@@ -148,7 +150,7 @@ def cmd_check(args) -> int:
     _, p = _load(args)
     verdict = ibn_of_algebra(p)
     if not verdict.ibn:
-        ttype = algebra_type(p, _budget(args))
+        ttype = torsion_type(p, full_unit_sum(p), _budget(args))
         if isinstance(ttype, Torsion):
             verdict = replace(verdict, type_if_known=(ttype.m, ttype.n))
     if args.json:

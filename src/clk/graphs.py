@@ -219,9 +219,7 @@ def graph_from_data(data) -> SeparatedGraph:
     if not has_partition:
         if has_lambda:
             raise GraphError("'lambda' requires an explicit 'partition'")
-        return validate_graph(
-            default_separation(vertices, edges, mode or "leavitt")
-        )
+        return default_separation(vertices, edges, mode or "leavitt")
 
     raw_partition = data["partition"]
     if not isinstance(raw_partition, dict):
@@ -261,6 +259,8 @@ def parse_graph(text) -> SeparatedGraph:
         raise GraphError(
             f"syntax error at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
+    except RecursionError:
+        raise GraphError("document is nested too deeply") from None
     return graph_from_data(data)
 
 

@@ -16,13 +16,18 @@ machine-checkable certificate:
   has no integer solution against the relation matrix, which equivalence
   would force) or a fully enumerated class that omits the other element.
 
-Searches are deterministic: breadth-first, layer by layer, each layer in
-lexicographic order, so witnesses are reproducible byte for byte.
+Every search runs on one engine, ``_Search``: breadth-first from a seed
+over a table of rewrite moves compiled from the relations, layer by layer,
+each layer in lexicographic order, so witnesses are reproducible byte for
+byte.  The budget counts expanded states.  When it runs out partway
+through a layer, the rest of that layer stays on the frontier, so a search
+is complete only when its frontier is empty.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add
 
 from .linalg import zspan_solve
 from .presentation import (
@@ -151,18 +156,34 @@ def _check_element(p: Presentation, v) -> Vec:
     return v
 
 
+def _compile_moves(p: Presentation) -> list[tuple]:
+    """The move table: every forward move in relation order, then every
+    backward move, each as (relation, forward, need, delta).  ``need``
+    lists the (index, count) pairs of the replaced side, which must fit
+    under a state; ``delta`` is the dense change the rewrite makes."""
+    moves = []
+    for forward in (True, False):
+        for rel in p.relations:
+            src, dst = (rel.lhs, rel.rhs) if forward else (rel.rhs, rel.lhs)
+            need = tuple((i, c) for i, c in enumerate(src) if c)
+            moves.append((rel, forward, need, vec_sub(dst, src)))
+    return moves
+
+
+def _successors(moves: list[tuple], x: Vec):
+    """(relation, forward, result) for each move that applies at x, in order."""
+    for rel, forward, need, delta in moves:
+        for i, c in need:
+            if x[i] < c:
+                break
+        else:
+            yield rel, forward, tuple(map(add, x, delta))
+
+
 def applicable_steps(p: Presentation, x) -> list[tuple[Relation, bool, Vec]]:
     """All single rewrites at x: forward where lhs fits under x, backward
     where rhs does.  Results are automatically nonzero."""
-    x = _check_element(p, x)
-    steps = []
-    for rel in p.relations:
-        if vec_leq(rel.lhs, x):
-            steps.append((rel, True, vec_add(vec_sub(x, rel.lhs), rel.rhs)))
-    for rel in p.relations:
-        if vec_leq(rel.rhs, x):
-            steps.append((rel, False, vec_add(vec_sub(x, rel.rhs), rel.lhs)))
-    return steps
+    return list(_successors(_compile_moves(p), _check_element(p, x)))
 
 
 def replay_witness(p: Presentation, start, witness) -> Vec:
@@ -186,6 +207,59 @@ def replay_witness(p: Presentation, start, witness) -> Vec:
     return cur
 
 
+class _Search:
+    """Layered breadth-first search from one seed over a move table.
+
+    ``parents`` maps every state reached to the state it was first reached
+    from (the seed to None); ``frontier`` holds the reached states not yet
+    expanded, and ``expanded`` counts the states expanded so far.  The
+    search is complete exactly when the frontier is empty.
+    """
+
+    __slots__ = ("moves", "parents", "frontier", "expanded")
+
+    def __init__(self, moves: list[tuple], seed: Vec):
+        self.moves = moves
+        self.parents: dict[Vec, Vec | None] = {seed: None}
+        self.frontier: list[Vec] = [seed]
+        self.expanded = 0
+
+    def step(self, allowance: int, goal=None) -> Vec | None:
+        """Expand at most ``allowance`` states of the next layer, in
+        lexicographic order; the rest of the layer stays on the frontier.
+        Returns the first newly reached state that satisfies ``goal``, if
+        any; such a hit ends the search."""
+        layer = sorted(self.frontier)
+        self.frontier = frontier = layer[allowance:]
+        for state in layer[:allowance]:
+            self.expanded += 1
+            for _, _, res in _successors(self.moves, state):
+                if res not in self.parents:
+                    self.parents[res] = state
+                    frontier.append(res)
+                    if goal is not None and goal(res):
+                        return res
+        return None
+
+    def run(self, max_states: int, goal=None) -> Vec | None:
+        """Expand layers until the frontier empties, ``max_states`` states
+        are expanded or a newly reached state satisfies ``goal``."""
+        while self.frontier and self.expanded < max_states:
+            if (hit := self.step(max_states - self.expanded, goal)) is not None:
+                return hit
+        return None
+
+    def links(self, state: Vec):
+        """(previous, relation, forward, state) links from ``state`` back to the
+        seed; each is the first move in table order, the one ``step`` took."""
+        while (prev := self.parents[state]) is not None:
+            rel, forward = next(
+                (r, f) for r, f, res in _successors(self.moves, prev) if res == state
+            )
+            yield prev, rel, forward, state
+            state = prev
+
+
 def class_enumerate(p: Presentation, x, budget: Budget | None = None) -> ClassEnumeration:
     """Breadth-first closure of x under rewrites in both directions.
 
@@ -193,53 +267,11 @@ def class_enumerate(p: Presentation, x, budget: Budget | None = None) -> ClassEn
     otherwise the members seen so far are returned as a partial class.
     """
     budget = budget or DEFAULT_BUDGET
-    x = _check_element(p, x)
-    seen = {x}
-    frontier = [x]
-    expanded = 0
-    while frontier:
-        layer = sorted(frontier)
-        frontier = []
-        for state in layer:
-            if expanded >= budget.max_states:
-                return ClassEnumeration(False, tuple(sorted(seen)), expanded)
-            expanded += 1
-            for _, _, res in applicable_steps(p, state):
-                if res not in seen:
-                    seen.add(res)
-                    frontier.append(res)
-    return ClassEnumeration(True, tuple(sorted(seen)), expanded)
-
-
-class _Search:
-    """One side of the bidirectional search: parent links for witnesses."""
-
-    __slots__ = ("seed", "parents", "frontier")
-
-    def __init__(self, seed: Vec):
-        self.seed = seed
-        self.parents: dict[Vec, tuple[Vec, Step] | None] = {seed: None}
-        self.frontier: list[Vec] = [seed]
-
-    def chain(self, state: Vec) -> list[tuple[Vec, Step]]:
-        items = []
-        while True:
-            link = self.parents[state]
-            if link is None:
-                break
-            items.append(link)
-            state = link[0]
-        items.reverse()
-        return items
-
-
-def _join_witness(left: _Search, right: _Search, meet: Vec) -> tuple[Step, ...]:
-    forward_part = [step for _, step in left.chain(meet)]
-    back_part = [
-        Step(step.relation, not step.forward, prev)
-        for prev, step in reversed(right.chain(meet))
-    ]
-    return tuple(forward_part + back_part)
+    search = _Search(_compile_moves(p), _check_element(p, x))
+    search.run(budget.max_states)
+    return ClassEnumeration(
+        not search.frontier, tuple(sorted(search.parents)), search.expanded
+    )
 
 
 def equivalent(p: Presentation, x, y, budget: Budget | None = None) -> EqOutcome:
@@ -259,38 +291,26 @@ def equivalent(p: Presentation, x, y, budget: Budget | None = None) -> EqOutcome
     if zspan_solve(relation_matrix(p), vec_sub(x, y)) is None:
         return Inequivalent("k0-mismatch")
 
-    left, right = _Search(x), _Search(y)
-    expanded = 0
+    moves = _compile_moves(p)
+    left, right = _Search(moves, x), _Search(moves, y)
     while True:
-        if not left.frontier:
-            return Inequivalent(
-                "complete-class-excludes", "left", len(left.parents)
-            )
-        if not right.frontier:
-            return Inequivalent(
-                "complete-class-excludes", "right", len(right.parents)
-            )
-        side, other = (
-            (left, right)
-            if len(left.frontier) <= len(right.frontier)
-            else (right, left)
-        )
-        layer = sorted(side.frontier)
-        side.frontier = []
-        for i, state in enumerate(layer):
-            if expanded >= budget.max_states:
-                side.frontier = layer[i:] + side.frontier
-                return Unknown(expanded)
-            expanded += 1
-            for rel, fwd, res in applicable_steps(p, state):
-                if res in side.parents:
-                    continue
-                side.parents[res] = (state, Step(rel.name, fwd, res))
-                side.frontier.append(res)
-                if res in other.parents:
-                    witness = _join_witness(left, right, res)
-                    assert replay_witness(p, x, witness) == y
-                    return Equivalent(witness)
+        for name, search in (("left", left), ("right", right)):
+            if not search.frontier:
+                size = len(search.parents)
+                return Inequivalent("complete-class-excludes", name, size)
+        expanded = left.expanded + right.expanded
+        if expanded >= budget.max_states:
+            return Unknown(expanded)
+        # Grow the smaller frontier; the stable sort keeps left first on a tie.
+        side, other = sorted((left, right), key=lambda s: len(s.frontier))
+        meet = side.step(budget.max_states - expanded, other.parents.__contains__)
+        if meet is not None:
+            # x to the meeting state, then back from it to y, each step reversed.
+            there = [Step(r.name, f, s) for _, r, f, s in left.links(meet)]
+            back = [Step(r.name, not f, prev) for prev, r, f, _ in right.links(meet)]
+            witness = tuple(reversed(there)) + tuple(back)
+            assert replay_witness(p, x, witness) == y
+            return Equivalent(witness)
 
 
 def torsion_type(p: Presentation, a, budget: Budget | None = None) -> TorsionType:
@@ -328,38 +348,19 @@ def closure_contains(p: Presentation, a, y, budget: Budget | None = None) -> Clo
     budget = budget or DEFAULT_BUDGET
     a = _check_element(p, a)
     y = _check_element(p, y)
+    moves = _compile_moves(p)
     all_complete = True
     for k in range(1, budget.max_multiple + 1):
         target = vec_scale(k, a)
         if vec_leq(y, target):
             return ClosureOutcome("yes", multiple=k, dominating=target)
-        seen = {target}
-        frontier = [target]
-        expanded = 0
-        complete = True
-        while frontier:
-            layer = sorted(frontier)
-            frontier = []
-            for state in layer:
-                if expanded >= budget.max_states:
-                    complete = False
-                    frontier = []
-                    break
-                expanded += 1
-                for _, _, res in applicable_steps(p, state):
-                    if res in seen:
-                        continue
-                    if vec_leq(y, res):
-                        return ClosureOutcome("yes", multiple=k, dominating=res)
-                    seen.add(res)
-                    frontier.append(res)
-            if not complete:
-                break
-        if not complete:
-            all_complete = False
-    if all_complete:
-        return ClosureOutcome("no-up-to-bound", bound=budget.max_multiple)
-    return ClosureOutcome("unknown", bound=budget.max_multiple)
+        search = _Search(moves, target)
+        hit = search.run(budget.max_states, lambda s: vec_leq(y, s))
+        if hit is not None:
+            return ClosureOutcome("yes", multiple=k, dominating=hit)
+        all_complete = all_complete and not search.frontier
+    status = "no-up-to-bound" if all_complete else "unknown"
+    return ClosureOutcome(status, bound=budget.max_multiple)
 
 
 def is_progenerator(p: Presentation, a, budget: Budget | None = None) -> ProgeneratorReport:
@@ -393,12 +394,9 @@ def isolated_support(p: Presentation, vertices) -> bool:
     order in the semigroup.
     """
     idx = {p.index(v) for v in vertices}
-    for rel in p.relations:
-        lhs_support = {i for i, c in enumerate(rel.lhs) if c}
-        rhs_support = {i for i, c in enumerate(rel.rhs) if c}
-        if lhs_support <= idx or rhs_support <= idx:
-            return False
-    return True
+    return not any(
+        all(i in idx for i, _ in need) for _, _, need, _ in _compile_moves(p)
+    )
 
 
 def step_to_data(step: Step) -> dict:

@@ -68,6 +68,32 @@ def test_parse_error_exit_4(capsys, tmp_path):
     assert main(["check", str(tmp_path / "missing.json")]) == 4
 
 
+def test_deeply_nested_document_exit_4(capsys, tmp_path):
+    deep = tmp_path / "deep.json"
+    deep.write_bytes(b"[" * 200_000)
+    assert main(["check", str(deep)]) == 4
+    assert "nested too deeply" in capsys.readouterr().err
+
+
+def test_check_runs_one_span_test_per_call(capsys, monkeypatch, l25_path):
+    import clk.cli
+    import clk.ktheory
+
+    calls = []
+    original = clk.ktheory.ibn_of_algebra
+
+    def counting(p):
+        calls.append(p)
+        return original(p)
+
+    monkeypatch.setattr(clk.cli, "ibn_of_algebra", counting)
+    monkeypatch.setattr(clk.ktheory, "ibn_of_algebra", counting)
+    code, out = run(capsys, ["check", l25_path])
+    assert code == 3
+    assert "IBN: no; type (1,2)" in out
+    assert len(calls) == 1
+
+
 def test_k0_json_matches_schema(capsys, l25_path, toeplitz_path, tmp_path):
     code, out = run(capsys, ["k0", l25_path, "--json"])
     assert code == 0

@@ -59,6 +59,23 @@ def test_mode_defaults_blocks_to_fibers():
     assert g2.lambda_blocks == ()
 
 
+def test_default_separation_document_validated_once(monkeypatch):
+    import clk.graphs
+
+    calls = []
+    original = clk.graphs.validate_graph
+
+    def counting(g):
+        calls.append(g)
+        return original(g)
+
+    monkeypatch.setattr(clk.graphs, "validate_graph", counting)
+    doc = toeplitz_doc()
+    del doc["partition"], doc["lambda"]
+    graph_from_data(doc)
+    assert len(calls) == 1
+
+
 def test_default_separation_skips_sinks_and_isolated():
     g = default_separation(
         ["v", "w", "u"], [Edge("e", "v", "w")], "leavitt"

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
@@ -20,6 +21,7 @@ from clk import (
     replay_witness,
     torsion_type,
 )
+from clk.cli import main
 
 from helpers import (
     cascade_doc,
@@ -82,6 +84,30 @@ def test_class_enumerate_partial_on_infinite_class(toeplitz):
     assert not enum.complete
     assert (1, 0) in enum.members
     assert enum.visited == 10
+
+
+def test_budget_cut_mid_layer_keeps_class_partial(toeplitz, tmp_path, capsys):
+    # From (1,1) the second layer is (1,0), (1,2).  Two expansions stop
+    # after (1,0); the unexpanded (1,2) must keep the class partial.
+    enum = class_enumerate(toeplitz, (1, 1), Budget(max_states=2))
+    assert not enum.complete
+    assert enum.members == ((1, 0), (1, 1), (1, 2))
+    assert enum.visited == 2
+
+    path = tmp_path / "toeplitz.json"
+    path.write_text(json.dumps(toeplitz_doc()), encoding="utf-8")
+    assert main(["monoid", str(path), "--class", "1,1", "--max-states", "2"]) == 5
+    assert "partial" in capsys.readouterr().out
+
+
+def test_budget_cut_mid_layer_keeps_equivalence_unknown(l25):
+    # A search that dropped the rest of a layer cut by the budget would
+    # call this pair inequivalent by complete-class-excludes.
+    assert equivalent(l25, (1, 0), (2, 1), Budget(3)) == Unknown(visited=3)
+    out = equivalent(l25, (1, 0), (2, 1))
+    assert isinstance(out, Equivalent)
+    assert len(out.witness) == 3
+    assert replay_witness(l25, (1, 0), out.witness) == (2, 1)
 
 
 def test_class_enumerate_l25_component(l25):
