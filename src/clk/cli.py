@@ -30,7 +30,7 @@ from .ktheory import (
     k0_to_data,
     order_to_data,
 )
-from .linalg import Finite, element_order_in_quotient
+from .linalg import Finite
 from .presentation import (
     Presentation,
     build_presentation,
@@ -38,7 +38,6 @@ from .presentation import (
     full_unit_sum,
     parse_vector,
     presentation_to_data,
-    relation_matrix,
 )
 from .semigroup import (
     Budget,
@@ -59,6 +58,7 @@ EXIT_OK = 0
 EXIT_NEGATIVE = 3
 EXIT_INPUT = 4
 EXIT_UNKNOWN = 5
+_STATUS_EXIT = {"yes": EXIT_OK, "no-up-to-bound": EXIT_NEGATIVE, "unknown": EXIT_UNKNOWN}
 
 _SUPERSCRIPT = str.maketrans("0123456789", "⁰¹²³⁴⁵⁶⁷⁸⁹")
 
@@ -178,7 +178,7 @@ def cmd_k0(args) -> int:
     element_order = None
     if args.element is not None:
         element = parse_vector(p, args.element, signed=True)
-        element_order = element_order_in_quotient(relation_matrix(p), element)
+        element_order = p.smith.order(element)
     if args.json:
         data = k0_to_data(report)
         if element is not None:
@@ -317,11 +317,7 @@ def cmd_monoid(args) -> int:
             print(f"{_red('no')} up to multiple {out.bound} (all classes complete)")
         else:
             print(f"{_yellow('unknown')} up to multiple {out.bound}")
-        return {
-            "yes": EXIT_OK,
-            "no-up-to-bound": EXIT_NEGATIVE,
-            "unknown": EXIT_UNKNOWN,
-        }[out.status]
+        return _STATUS_EXIT[out.status]
 
     if args.progenerator is not None:
         a = parse_vector(p, args.progenerator)
@@ -344,11 +340,7 @@ def cmd_monoid(args) -> int:
             print(f"progenerator: {word}")
             for g, out in report.per_generator:
                 print(f"  {g}: {out.status}")
-        return {
-            "yes": EXIT_OK,
-            "no-up-to-bound": EXIT_NEGATIVE,
-            "unknown": EXIT_UNKNOWN,
-        }[report.status]
+        return _STATUS_EXIT[report.status]
 
     # No query flag: emit the presentation itself.
     if args.json:
@@ -530,10 +522,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except GraphError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except OSError as exc:
+    except (GraphError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

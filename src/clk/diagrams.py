@@ -21,6 +21,10 @@ from .presentation import Presentation
 NATURAL = "natural"
 FULL = "full"
 
+# Most lattice points a window may hold; a 100000-node picture already
+# renders to about 12 MB of SVG.
+MAX_WINDOW_NODES = 100_000
+
 EDGE_PALETTE = (
     "blue",
     "red",
@@ -68,6 +72,11 @@ class Window:
                 raise ValueError(f"window bounds out of order: {lo}:{hi}")
             if self.domain == NATURAL and lo < 0:
                 raise ValueError("natural-domain windows need bounds >= 0")
+        nodes = (self.x[1] - self.x[0] + 1) * (self.y[1] - self.y[0] + 1)
+        if nodes > MAX_WINDOW_NODES:
+            raise ValueError(
+                f"window has {nodes} lattice points, more than {MAX_WINDOW_NODES}"
+            )
 
 
 @dataclass(frozen=True)

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 
 class GraphError(ValueError):
@@ -59,11 +60,16 @@ class SeparatedGraph:
     def lambda_set(self) -> frozenset[str]:
         return frozenset(self.lambda_blocks)
 
+    @cached_property
+    def _edges_by_name(self) -> dict[str, Edge]:
+        # Reversed, so a repeated name keeps its first edge.
+        return {e.name: e for e in reversed(self.edges)}
+
     def edge(self, name: str) -> Edge:
-        for e in self.edges:
-            if e.name == name:
-                return e
-        raise GraphError(f"unknown edge {name!r}")
+        try:
+            return self._edges_by_name[name]
+        except KeyError:
+            raise GraphError(f"unknown edge {name!r}") from None
 
     def block_source(self, block: Block) -> str:
         return self.edge(block.edges[0]).src

@@ -4,7 +4,10 @@ The algebra attached to a separated graph has invariant basis number
 exactly when the all-vertices unit sum stays outside the rational span of
 the distinguished relation rows.  Testing against all rows must give the
 same answer (ordinary relations carry a block generator that the target
-cannot touch), and both tests are run and compared on every call.
+cannot touch).  Every call runs both by independent routes and compares
+them: a Gaussian solve over the distinguished rows, which yields the
+printed coefficients, and a read of the presentation's Smith form over
+all rows.  The K0 report reads that same Smith form.
 
 Corner verdicts for an idempotent supported on a vertex subset H combine
 three independent diagnostics:
@@ -25,20 +28,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import (
-    ElementOrder,
-    Finite,
-    element_order_in_quotient,
-    qspan_solve,
-    smith_normal_form,
-)
-from .presentation import (
-    Presentation,
-    Vec,
-    full_unit_sum,
-    relation_matrix,
-    unit_sum,
-)
+from .linalg import ElementOrder, Finite, qspan_solve
+from .presentation import Presentation, Vec, full_unit_sum, unit_sum
 from .semigroup import (
     Budget,
     NoTorsionUpTo,
@@ -94,34 +85,27 @@ class CornerReport:
 def _span_excluded(p: Presentation, target: Vec):
     """(excluded, full coefficient vector or None) for the two span tests.
 
-    Solves over the distinguished rows and over all rows; the answers
-    must agree, and any all-rows solution must already avoid the ordinary
-    relations.  Disagreement is an internal bug, not an input error.
+    Solves over the distinguished rows by Gaussian elimination and reads
+    membership over all rows off the presentation's Smith form; the
+    answers must agree.  Disagreement is an internal bug, not an input
+    error.
     """
-    matrix = relation_matrix(p)
     lambda_rows = tuple(rel.row for rel in p.relations if rel.in_lambda)
-    all_coeffs = qspan_solve(matrix, target)
     lambda_coeffs = qspan_solve(lambda_rows, target)
-    if (all_coeffs is None) != (lambda_coeffs is None):
+    if p.smith.in_qspan(target) != (lambda_coeffs is not None):
         raise AssertionError(
             "distinguished-row and all-row span tests disagree; "
             "this is a bug, please report it"
         )
-    if all_coeffs is None:
+    if lambda_coeffs is None:
         return True, None
-    for coeff, rel in zip(all_coeffs, p.relations):
-        if not rel.in_lambda and coeff:
-            raise AssertionError(
-                "all-row solution touches an ordinary relation; "
-                "this is a bug, please report it"
-            )
     lam_iter = iter(lambda_coeffs)
     full = tuple(
         next(lam_iter) if rel.in_lambda else Fraction(0) for rel in p.relations
     )
     combo = [Fraction(0)] * p.dim
-    for coeff, row in zip(full, matrix):
-        for j, entry in enumerate(row):
+    for coeff, rel in zip(full, p.relations):
+        for j, entry in enumerate(rel.row):
             combo[j] += coeff * entry
     assert tuple(combo) == tuple(Fraction(t) for t in target)
     return False, full
@@ -138,10 +122,10 @@ def ibn_of_algebra(p: Presentation) -> IbnVerdict:
 
 def k0_report(p: Presentation) -> K0Report:
     """Cokernel invariants of the relation matrix plus the order of the
-    distinguished unit-sum element in it."""
-    matrix = relation_matrix(p)
-    snf = smith_normal_form(matrix, cols=p.dim)
-    order = element_order_in_quotient(matrix, full_unit_sum(p))
+    distinguished unit-sum element in it, all from the presentation's
+    Smith form."""
+    snf = p.smith
+    order = snf.order(full_unit_sum(p))
     return K0Report(snf.cokernel_free_rank, snf.cokernel_torsion, order)
 
 
@@ -170,37 +154,26 @@ def corner_report(p: Presentation, vertices, budget: Budget | None = None) -> Co
     isolated = isolated_support(p, vertices)
     torsion = torsion_type(p, alpha, budget)
 
+    verdict, reason, corner_type = "unknown", None, None
     if isinstance(torsion, Torsion):
         if excluded or isolated:
             raise AssertionError(
                 "corner certificates contradict each other; "
                 "this is a bug, please report it"
             )
-        return CornerReport(
-            vertices,
-            sufficient_test_passed=excluded,
-            isolated_support_holds=isolated,
-            torsion=torsion,
-            verdict="non-ibn",
-            reason="certified-torsion",
-            corner_type=(torsion.m, torsion.n),
-        )
-    if excluded or isolated:
+        verdict, reason = "non-ibn", "certified-torsion"
+        corner_type = (torsion.m, torsion.n)
+    elif excluded or isolated:
+        verdict = "certified-ibn"
         reason = "sufficient-test" if excluded else "isolated-support"
-        return CornerReport(
-            vertices,
-            sufficient_test_passed=excluded,
-            isolated_support_holds=isolated,
-            torsion=torsion,
-            verdict="certified-ibn",
-            reason=reason,
-        )
     return CornerReport(
         vertices,
-        sufficient_test_passed=False,
-        isolated_support_holds=False,
+        sufficient_test_passed=excluded,
+        isolated_support_holds=isolated,
         torsion=torsion,
-        verdict="unknown",
+        verdict=verdict,
+        reason=reason,
+        corner_type=corner_type,
     )
 
 

@@ -1,15 +1,20 @@
 """Exact integer and rational linear algebra over relation matrices.
 
 Everything here is arbitrary-precision and float-free: rational work uses
-``fractions.Fraction``, integer work uses Python ints.  The three
+``fractions.Fraction``, integer work uses Python ints.  The two
 primitives are
 
 * rational span membership (Gaussian elimination, returning the verifying
-  coefficients when membership holds),
+  coefficients when membership holds), and
 * Smith normal form with unimodular certificates U, V satisfying
-  ``U @ M @ V == D`` exactly, and
-* integer span solving plus the order of a vector's image in the cokernel
-  ``Z^n / rowspan(M)``, read off from the Smith form in closed form.
+  ``U @ M @ V == D`` exactly.
+
+One factorization answers every question about the rows of M through
+``target @ V``: integer span solving (``SNFResult.solve``), the order of a
+vector's image in the cokernel ``Z^n / rowspan(M)`` in closed form
+(``SNFResult.order``) and rational span membership
+(``SNFResult.in_qspan``).  ``zspan_solve`` and
+``element_order_in_quotient`` factorize once and then ask.
 
 Matrices are tuples/lists of equal-length int rows.  A matrix may have no
 rows; operations that cannot infer the width from a row take it from the
@@ -114,17 +119,31 @@ def qspan_contains(matrix, target) -> bool:
 
 
 @dataclass(frozen=True)
+class Finite:
+    order: int
+
+
+@dataclass(frozen=True)
+class Infinite:
+    pass
+
+
+ElementOrder = Finite | Infinite
+
+
+@dataclass(frozen=True)
 class SNFResult:
     """Smith normal form D = U @ M @ V with unimodular U, V.
 
     The diagonal of D is nonnegative, its nonzero entries form a
-    divisibility chain and precede the zeros.  Keeping U and V makes every
-    downstream claim self-verifying.
+    divisibility chain and precede the zeros.  Keeping M, U and V makes
+    every answer read off the factorization self-verifying.
     """
 
     U: Matrix
     D: Matrix
     V: Matrix
+    M: Matrix
 
     @property
     def diagonal(self) -> tuple[int, ...]:
@@ -147,6 +166,57 @@ class SNFResult:
     def cokernel_torsion(self) -> tuple[int, ...]:
         return tuple(d for d in self.invariant_factors if d > 1)
 
+    def _image(self, target: tuple) -> list[int]:
+        """``target @ V``: the target in the coordinates where M is diagonal."""
+        return [
+            sum(t * a for t, a in zip(target, column, strict=True))
+            for column in zip(*self.V)
+        ]
+
+    def in_qspan(self, target) -> bool:
+        """Is ``target`` in the rational row span of M?
+
+        Exactly when ``target @ V`` vanishes on every zero-diagonal
+        coordinate, and those are the coordinates from ``rank`` on.
+        """
+        return not any(self._image(tuple(target))[self.rank :])
+
+    def solve(self, target) -> tuple[int, ...] | None:
+        """Integer coefficients c with sum(c_i * row_i of M) == target, else None.
+
+        Solved by back substitution through D; any returned vector is
+        re-verified by direct substitution before being handed out.
+        """
+        target = tuple(target)
+        w = self._image(target)
+        factors = self.invariant_factors
+        if any(w[len(factors) :]) or any(x % d for x, d in zip(w, factors)):
+            return None
+        b = [x // d for x, d in zip(w, factors)]
+        coeffs = _row_combination(self.U, b, len(self.U))
+        assert _row_combination(self.M, coeffs, len(target)) == target
+        return coeffs
+
+    def order(self, target) -> ElementOrder:
+        """Order of ``target + rowspan(M)`` in Z^n / rowspan(M).
+
+        Infinite exactly when ``target`` misses the rational row span
+        (nonzero image after tensoring with Q); otherwise the least k with
+        k*target in the integer row span, read off the invariant factors
+        as an lcm rather than by iteration.  The zero vector has order 1.
+        """
+        target = tuple(target)
+        in_qspan = self.in_qspan(target)
+        assert qspan_contains(self.M, target) == in_qspan, (
+            "Gaussian and Smith routes disagree on rational membership"
+        )
+        if not in_qspan:
+            return Infinite()
+        w = self._image(target)
+        k = math.lcm(*(d // math.gcd(d, x) for x, d in zip(w, self.invariant_factors)))
+        assert self.solve(tuple(k * t for t in target)) is not None
+        return Finite(k)
+
 
 def smith_normal_form(matrix, *, cols: int | None = None) -> SNFResult:
     """Diagonalize an integer matrix by unimodular row/column operations.
@@ -165,6 +235,7 @@ def smith_normal_form(matrix, *, cols: int | None = None) -> SNFResult:
     else:
         c = cols
 
+    rows = tuple(tuple(row) for row in D)
     U = [[int(i == j) for j in range(r)] for i in range(r)]
     V = [[int(i == j) for j in range(c)] for i in range(c)]
 
@@ -177,10 +248,6 @@ def smith_normal_form(matrix, *, cols: int | None = None) -> SNFResult:
             row[i], row[j] = row[j], row[i]
         for row in V:
             row[i], row[j] = row[j], row[i]
-
-    def row_negate(i):
-        D[i] = [-a for a in D[i]]
-        U[i] = [-a for a in U[i]]
 
     def row_clear(keep, kill, col):
         # Unimodular combination of rows keep/kill zeroing D[kill][col].
@@ -283,18 +350,20 @@ def smith_normal_form(matrix, *, cols: int | None = None) -> SNFResult:
     # Phase 4: normalize signs.
     for t in range(k):
         if D[t][t] < 0:
-            row_negate(t)
+            D[t] = [-a for a in D[t]]
+            U[t] = [-a for a in U[t]]
 
     result = SNFResult(
         tuple(tuple(row) for row in U),
         tuple(tuple(row) for row in D),
         tuple(tuple(row) for row in V),
+        rows,
     )
-    assert _is_valid_snf(matrix, result, r, c)
+    assert _is_valid_snf(result, r, c)
     return result
 
 
-def _is_valid_snf(matrix, res: SNFResult, r: int, c: int) -> bool:
+def _is_valid_snf(res: SNFResult, r: int, c: int) -> bool:
     D = res.D
     for i in range(r):
         for j in range(c):
@@ -308,90 +377,28 @@ def _is_valid_snf(matrix, res: SNFResult, r: int, c: int) -> bool:
         return False
     if any(nz[i + 1] % nz[i] for i in range(len(nz) - 1)):
         return False
-    # U @ M @ V == D, all in exact integers.
-    rows = [list(row) for row in matrix]
-    UM = [
-        [sum(res.U[i][k] * rows[k][j] for k in range(r)) for j in range(c)]
-        for i in range(r)
-    ]
-    UMV = [
-        [sum(UM[i][k] * res.V[k][j] for k in range(c)) for j in range(c)]
-        for i in range(r)
-    ]
-    return all(tuple(UMV[i]) == D[i] for i in range(r))
+    # U @ M @ V == D row by row, all in exact integers.
+    return all(
+        _row_combination(res.V, _row_combination(res.M, u, c), c) == d
+        for u, d in zip(res.U, D)
+    )
 
 
 def zspan_solve(matrix, target) -> tuple[int, ...] | None:
     """Integer coefficients c with sum(c_i * row_i) == target, else None.
 
-    Solved through the Smith form by back substitution; any returned
-    vector is re-verified by direct substitution before being handed out.
+    Factorizes ``matrix`` and solves on the Smith form; see
+    :meth:`SNFResult.solve`.
     """
     target = tuple(target)
-    c = len(target)
-    rows = _check_matrix(matrix, c)
-    r = len(rows)
-    if r == 0:
-        return () if not any(target) else None
-    snf = smith_normal_form(rows)
-    w = [sum(target[i] * snf.V[i][j] for i in range(c)) for j in range(c)]
-    diag = snf.diagonal
-    b = [0] * r
-    for j in range(c):
-        d = diag[j] if j < len(diag) else 0
-        if d == 0:
-            if w[j]:
-                return None
-        else:
-            if w[j] % d:
-                return None
-            b[j] = w[j] // d
-    coeffs = tuple(sum(b[k] * snf.U[k][i] for k in range(r)) for i in range(r))
-    assert _row_combination(rows, coeffs, c) == target
-    return coeffs
-
-
-@dataclass(frozen=True)
-class Finite:
-    order: int
-
-
-@dataclass(frozen=True)
-class Infinite:
-    pass
-
-
-ElementOrder = Finite | Infinite
+    return smith_normal_form(matrix, cols=len(target)).solve(target)
 
 
 def element_order_in_quotient(matrix, target) -> ElementOrder:
     """Order of ``target + rowspan(matrix)`` in Z^n / rowspan(matrix).
 
-    Infinite exactly when ``target`` misses the rational row span
-    (nonzero image after tensoring with Q); otherwise the least k with
-    k*target in the integer row span, computed from the Smith form as an
-    lcm rather than by iteration.  The zero vector has order 1.
+    Factorizes ``matrix`` and reads the order off the Smith form; see
+    :meth:`SNFResult.order`.
     """
     target = tuple(target)
-    c = len(target)
-    rows = _check_matrix(matrix, c)
-    in_qspan = qspan_contains(rows, target)
-    if not rows:
-        assert in_qspan == (not any(target))
-        return Finite(1) if in_qspan else Infinite()
-    snf = smith_normal_form(rows)
-    w = [sum(target[i] * snf.V[i][j] for i in range(c)) for j in range(c)]
-    diag = snf.diagonal
-    obstructed = any(
-        w[j] and (j >= len(diag) or diag[j] == 0) for j in range(c)
-    )
-    # The Gaussian and Smith routes must agree on rational membership.
-    assert in_qspan == (not obstructed)
-    if obstructed:
-        return Infinite()
-    k = 1
-    for j, d in enumerate(diag):
-        if d:
-            k = math.lcm(k, d // math.gcd(d, w[j]))
-    assert zspan_solve(rows, tuple(k * t for t in target)) is not None
-    return Finite(k)
+    return smith_normal_form(matrix, cols=len(target)).order(target)

@@ -20,8 +20,10 @@ path algebra.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .graphs import GraphError, SeparatedGraph
+from .linalg import SNFResult, smith_normal_form
 
 Vec = tuple[int, ...]
 
@@ -75,10 +77,23 @@ class Presentation:
     def dim(self) -> int:
         return len(self.generators)
 
+    @cached_property
+    def _positions(self) -> dict[str, int]:
+        return {name: i for i, name in enumerate(self.generators)}
+
+    @cached_property
+    def smith(self) -> SNFResult:
+        """The Smith form of the relation matrix, computed on first use.
+
+        Every integer span, element order and K0 read of this
+        presentation comes from this one factorization.
+        """
+        return smith_normal_form(relation_matrix(self), cols=self.dim)
+
     def index(self, generator: str) -> int:
         try:
-            return self.generators.index(generator)
-        except ValueError:
+            return self._positions[generator]
+        except KeyError:
             raise GraphError(f"unknown generator {generator!r}") from None
 
     def unit(self, generator: str) -> Vec:
@@ -131,9 +146,10 @@ def unit_sum(p: Presentation, vertices) -> Vec:
         raise GraphError("vertex subset must be nonempty")
     counts = [0] * p.dim
     for v in vertices:
-        if v not in p.graph.vertices:
+        # Vertices come first among the generators.
+        i = p._positions.get(v, p.dim)
+        if i >= len(p.graph.vertices):
             raise GraphError(f"unknown vertex {v!r}")
-        i = p.index(v)
         if counts[i]:
             raise GraphError(f"duplicate vertex {v!r}")
         counts[i] = 1

@@ -29,13 +29,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import add
 
-from .linalg import zspan_solve
 from .presentation import (
     Presentation,
     Relation,
     Vec,
     is_zero,
-    relation_matrix,
     vec_add,
     vec_leq,
     vec_scale,
@@ -278,17 +276,18 @@ def equivalent(p: Presentation, x, y, budget: Budget | None = None) -> EqOutcome
     """Decide x ~ y within budget.
 
     The K0 test runs first: equivalence forces x - y into the integer row
-    span of the relation matrix, so an unsolvable difference is a sound
-    inequivalence certificate.  Then both ends are searched breadth-first;
-    meeting yields a replayable witness, and a side whose class closes
-    without meeting certifies inequivalence.
+    span of the relation matrix, so a difference that the presentation's
+    Smith form cannot solve is a sound inequivalence certificate.  Then
+    both ends are searched breadth-first; meeting yields a replayable
+    witness, and a side whose class closes without meeting certifies
+    inequivalence.
     """
     budget = budget or DEFAULT_BUDGET
     x = _check_element(p, x)
     y = _check_element(p, y)
     if x == y:
         return Equivalent(())
-    if zspan_solve(relation_matrix(p), vec_sub(x, y)) is None:
+    if p.smith.solve(vec_sub(x, y)) is None:
         return Inequivalent("k0-mismatch")
 
     moves = _compile_moves(p)

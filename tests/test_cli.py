@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -92,6 +93,51 @@ def test_check_runs_one_span_test_per_call(capsys, monkeypatch, l25_path):
     assert code == 3
     assert "IBN: no; type (1,2)" in out
     assert len(calls) == 1
+
+
+def _count_factorizations(monkeypatch) -> list:
+    """Count Smith forms wherever clk looks ``smith_normal_form`` up."""
+    import clk.linalg
+    import clk.presentation
+
+    calls = []
+    original = clk.linalg.smith_normal_form
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(clk.presentation, "smith_normal_form", counting)
+    monkeypatch.setattr(clk.linalg, "smith_normal_form", counting)
+    return calls
+
+
+def test_one_factorization_per_call(capsys, monkeypatch, l25_path, l24_path):
+    calls = _count_factorizations(monkeypatch)
+    cases = [
+        (["k0", l25_path, "--element", "1,-1"], 0, "[v + -1·w] has order 3", 1),
+        (["corner", l25_path, "--vertices", "w"], 3, "corner {w}: non-IBN of type (2,5)", 1),
+        (["type", l24_path], 3, "type: torsion of type (1,3), witness of 8 steps", 1),
+        (["check", l25_path], 3, "IBN: no; type (1,2)", 1),
+        (["info", l25_path], 0, "  Y: v = 5·w", 0),
+        (["monoid", l25_path], 0, "generators: v, w", 0),
+    ]
+    for argv, code, line, factorizations in cases:
+        calls.clear()
+        got, out = run(capsys, argv)
+        assert (got, line in out.splitlines()) == (code, True), (argv, out)
+        assert len(calls) == factorizations, argv
+
+
+def test_render_window_over_node_cap_exit_4(capsys, toeplitz_path):
+    start = time.perf_counter()
+    code = main(["render", toeplitz_path, "--window", "0:100000,0:100000"])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.out == ""
+    assert captured.err.startswith("error: window has 10000200001 lattice points")
+    assert elapsed < 1.0
 
 
 def test_k0_json_matches_schema(capsys, l25_path, toeplitz_path, tmp_path):

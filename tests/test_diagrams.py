@@ -14,7 +14,7 @@ from clk import (
     render_window,
     window_components,
 )
-from clk.diagrams import FULL, NATURAL
+from clk.diagrams import FULL, MAX_WINDOW_NODES, NATURAL
 
 from helpers import (
     edgeless_doc,
@@ -184,6 +184,15 @@ def test_window_validation():
         window_components(
             presentation_of(toeplitz_doc()), Window((0, 1), (0, 1), FULL)
         )
+
+
+def test_window_node_cap():
+    Window((0, MAX_WINDOW_NODES - 1), (0, 0))  # exactly at the cap
+    Window((1, 2), (1, MAX_WINDOW_NODES // 2), FULL)
+    with pytest.raises(ValueError, match="lattice points"):
+        Window((0, MAX_WINDOW_NODES), (0, 0))
+    with pytest.raises(ValueError, match="lattice points"):
+        Window((-100_000, 100_000), (-100_000, 100_000), FULL)
 
 
 def test_svg_is_byte_deterministic(toeplitz):

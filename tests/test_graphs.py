@@ -26,6 +26,14 @@ def test_parse_toeplitz_document():
     assert g.lambda_blocks == ("E",)
 
 
+def test_unknown_edge_lookup_message():
+    g = parse_graph(json.dumps(toeplitz_doc()))
+    assert g.edge("f") == Edge("f", "v", "w")
+    with pytest.raises(GraphError) as exc:
+        g.edge("x")
+    assert str(exc.value) == "unknown edge 'x'"
+
+
 def test_mixed_source_block_rejected():
     doc = {
         "vertices": ["v", "w"],

@@ -19,6 +19,7 @@ from clk import (
     k0_report,
 )
 from clk.ktheory import corner_to_data, ibn_verdict_to_data, k0_to_data
+from clk.linalg import SNFResult
 
 from helpers import (
     cascade_doc,
@@ -26,6 +27,7 @@ from helpers import (
     lambda_pi_agreement_case,
     presentation_of,
     random_graph_doc,
+    random_presentation,
     rose_doc,
     toeplitz_doc,
     two_block_doc,
@@ -239,3 +241,40 @@ def test_verdict_serialization_shapes(toeplitz, l25):
     assert data["sufficient_test"] == "inconclusive"
     assert data["isolated_support"] == "holds"
     assert data["verdict"] == {"kind": "certified-ibn", "reason": "isolated-support"}
+
+
+def test_span_routes_cross_check_each_other(monkeypatch, toeplitz, l25):
+    original = SNFResult.in_qspan
+    monkeypatch.setattr(SNFResult, "in_qspan", lambda self, t: not original(self, t))
+    for p in (toeplitz, l25):
+        with pytest.raises(AssertionError, match="span tests disagree"):
+            ibn_of_algebra(p)
+
+
+def test_order_cross_checked_by_gaussian_route(monkeypatch, toeplitz, l25):
+    import clk.linalg
+
+    original = clk.linalg.qspan_contains
+    monkeypatch.setattr(clk.linalg, "qspan_contains", lambda m, t: not original(m, t))
+    for p in (toeplitz, l25):
+        with pytest.raises(AssertionError, match="routes disagree"):
+            k0_report(p)
+
+
+def test_presentation_smith_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import smith_normal_form
+
+    rng = random.Random(57)
+    torsion_seen = 0
+    for _ in range(200):
+        p = random_presentation(rng, max_vertices=4, max_edges=7)
+        rows = [list(rel.row) for rel in p.relations]
+        want = []
+        if any(any(row) for row in rows):
+            d = smith_normal_form(sympy.Matrix(rows), domain=sympy.ZZ)
+            want = [abs(int(d[i, i])) for i in range(min(d.shape)) if d[i, i]]
+        assert sorted(p.smith.invariant_factors) == sorted(want)
+        assert p.smith is p.smith
+        torsion_seen += bool(p.smith.cokernel_torsion)
+    assert torsion_seen

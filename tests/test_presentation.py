@@ -99,6 +99,16 @@ def test_block_name_colliding_with_vertex_rejected():
         build_presentation(graph_from_data(doc))
 
 
+def test_unknown_generator_lookup_message():
+    p = presentation_of(toeplitz_cohn_doc())
+    assert [p.index(name) for name in ("v", "w", "E")] == [0, 1, 2]
+    with pytest.raises(GraphError) as exc:
+        p.index("x")
+    assert str(exc.value) == "unknown generator 'x'"
+    with pytest.raises(GraphError, match="unknown vertex 'E'"):
+        unit_sum(p, ["E"])
+
+
 def test_vector_parse_and_format():
     p = presentation_of(two_block_doc(2, 5))
     assert parse_vector(p, "1, 0") == (1, 0)
