@@ -34,6 +34,7 @@ from .linalg import Finite
 from .presentation import (
     Presentation,
     build_presentation,
+    format_terms,
     format_vector,
     full_unit_sum,
     parse_vector,
@@ -59,6 +60,7 @@ EXIT_NEGATIVE = 3
 EXIT_INPUT = 4
 EXIT_UNKNOWN = 5
 _STATUS_EXIT = {"yes": EXIT_OK, "no-up-to-bound": EXIT_NEGATIVE, "unknown": EXIT_UNKNOWN}
+_CORNER_EXIT = {"certified-ibn": EXIT_OK, "non-ibn": EXIT_NEGATIVE, "unknown": EXIT_UNKNOWN}
 
 _SUPERSCRIPT = str.maketrans("0123456789", "⁰¹²³⁴⁵⁶⁷⁸⁹")
 
@@ -136,6 +138,11 @@ def _torsion_line(t) -> str:
         f"no torsion found up to {t.bound} "
         f"({len(t.unknown_probes)} probes unresolved)"
     )
+
+
+def _relation_line(p: Presentation, rel) -> str:
+    lhs, rhs = (format_terms(p, terms) for terms in (rel.lhs_terms, rel.rhs_terms))
+    return f"{rel.name}: {lhs} = {rhs}"
 
 
 def _print_witness(start, witness) -> None:
@@ -229,11 +236,7 @@ def cmd_corner(args) -> int:
         print(f"sufficient test: {passed}")
         print(f"isolated support: {holds}")
         print(f"torsion: {_torsion_line(report.torsion)}")
-    if report.verdict == "certified-ibn":
-        return EXIT_OK
-    if report.verdict == "non-ibn":
-        return EXIT_NEGATIVE
-    return EXIT_UNKNOWN
+    return _CORNER_EXIT[report.verdict]
 
 
 def _split_pair(text: str, what: str) -> tuple[str, str]:
@@ -349,10 +352,7 @@ def cmd_monoid(args) -> int:
         print("generators: " + ", ".join(p.generators))
         for rel in p.relations:
             mark = " (distinguished)" if rel.in_lambda else ""
-            print(
-                f"  {rel.name}: {format_vector(p, rel.lhs)} = "
-                f"{format_vector(p, rel.rhs)}{mark}"
-            )
+            print(f"  {_relation_line(p, rel)}{mark}")
     return EXIT_OK
 
 
@@ -405,10 +405,7 @@ def cmd_info(args) -> int:
     print("generators: " + ", ".join(p.generators))
     print("relations:")
     for rel in p.relations:
-        print(
-            f"  {rel.name}: {format_vector(p, rel.lhs)} = "
-            f"{format_vector(p, rel.rhs)}"
-        )
+        print(f"  {_relation_line(p, rel)}")
     return EXIT_OK
 
 

@@ -159,10 +159,12 @@ def window_components(p: Presentation, w: Window) -> ComponentLabeling:
     its label says nothing about elements beyond the window; the flags
     record that caveat.
     """
-    _require_planar(p)
-    if w.domain != NATURAL:
+    return _label_components(build_diagram(p, w))
+
+
+def _label_components(diagram: Diagram) -> ComponentLabeling:
+    if diagram.window.domain != NATURAL:
         raise ValueError("component labelling needs a natural-domain window")
-    diagram = build_diagram(p, w)
     parent: dict[Point, Point] = {n: n for n in diagram.nodes}
 
     def find(a: Point) -> Point:
@@ -182,7 +184,7 @@ def window_components(p: Presentation, w: Window) -> ComponentLabeling:
     for node in diagram.nodes:
         groups.setdefault(find(node), []).append(node)
 
-    (x0, x1), (y0, y1) = w.x, w.y
+    (x0, x1), (y0, y1) = diagram.window.x, diagram.window.y
 
     def on_border(n: Point) -> bool:
         return n[0] in (x0, x1) or n[1] in (y0, y1)
@@ -315,7 +317,7 @@ def render_window(
 ) -> str:
     """One-call renderer: build the diagram, optionally label components."""
     diagram = build_diagram(p, w)
-    labeling = window_components(p, w) if components else None
+    labeling = _label_components(diagram) if components else None
     if fmt == "svg":
         return render_svg(diagram, labeling)
     if fmt == "dot":

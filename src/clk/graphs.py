@@ -56,7 +56,7 @@ class SeparatedGraph:
     partition: tuple[Block, ...]
     lambda_blocks: tuple[str, ...]
 
-    @property
+    @cached_property
     def lambda_set(self) -> frozenset[str]:
         return frozenset(self.lambda_blocks)
 
@@ -175,9 +175,12 @@ def default_separation(vertices, edges, mode: str = "leavitt") -> SeparatedGraph
     edges = tuple(edges)
     vertices = tuple(vertices)
     taken = set(vertices) | {e.name for e in edges}
+    fibers: dict[str, list[str]] = {}
+    for e in edges:
+        fibers.setdefault(e.src, []).append(e.name)
     blocks = []
     for v in vertices:
-        fiber = tuple(e.name for e in edges if e.src == v)
+        fiber = tuple(fibers.get(v, ()))
         if not fiber:
             continue  # sinks and isolated vertices carry no block
         name = f"s({v})"

@@ -12,13 +12,14 @@ relation between formal sums of generators:
 Elements of the free commutative monoid are dense count vectors over the
 generator list ("multivecs"), stored as plain int tuples; the semigroup
 itself consists of the nonzero vectors modulo the rewriting closure of the
-relations (see :mod:`clk.semigroup`).  Subtracting each relation's sides
-gives an integer matrix whose cokernel is the K0 group of the associated
-path algebra.
+relations (see :mod:`clk.semigroup`).  Relation sides are sparse terms;
+subtracting each relation's sides gives a dense integer matrix whose
+cokernel is the K0 group of the associated path algebra.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -26,6 +27,8 @@ from .graphs import GraphError, SeparatedGraph
 from .linalg import SNFResult, smith_normal_form
 
 Vec = tuple[int, ...]
+# Sparse vector: (index, count) pairs sorted by index, with no zero counts.
+Terms = tuple[tuple[int, int], ...]
 
 
 def vec_add(u: Vec, v: Vec) -> Vec:
@@ -49,22 +52,41 @@ def is_zero(v: Vec) -> bool:
     return all(a == 0 for a in v)
 
 
+def vec_from_terms(plus: Terms, dim: int, minus: Terms = ()) -> Vec:
+    """The dense vector of ``plus`` minus ``minus``, both sparse terms."""
+    counts = [0] * dim
+    for i, c in plus:
+        counts[i] += c
+    for i, c in minus:
+        counts[i] -= c
+    return tuple(counts)
+
+
 @dataclass(frozen=True)
 class Relation:
-    """One block relation, kept as a (lhs, rhs) pair of nonnegative vectors.
+    """One block relation, each side kept as sparse terms over ``dim`` generators.
 
-    The rewriting engine needs the two-sided form for applicability tests;
-    linear algebra only needs the signed difference ``row``.
+    The rewriting engine reads the terms; ``lhs``, ``rhs`` and the signed
+    difference ``row`` that linear algebra needs are dense, built on access.
     """
 
     name: str
-    lhs: Vec
-    rhs: Vec
+    lhs_terms: Terms
+    rhs_terms: Terms
     in_lambda: bool
+    dim: int
+
+    @property
+    def lhs(self) -> Vec:
+        return vec_from_terms(self.lhs_terms, self.dim)
+
+    @property
+    def rhs(self) -> Vec:
+        return vec_from_terms(self.rhs_terms, self.dim)
 
     @property
     def row(self) -> Vec:
-        return vec_sub(self.lhs, self.rhs)
+        return vec_from_terms(self.lhs_terms, self.dim, self.rhs_terms)
 
 
 @dataclass(frozen=True)
@@ -97,16 +119,16 @@ class Presentation:
             raise GraphError(f"unknown generator {generator!r}") from None
 
     def unit(self, generator: str) -> Vec:
-        i = self.index(generator)
-        return tuple(1 if j == i else 0 for j in range(self.dim))
+        return vec_from_terms(((self.index(generator), 1),), self.dim)
 
 
 def build_presentation(g: SeparatedGraph) -> Presentation:
     """Generators and block relations of ``g``, in declaration order."""
     lam = g.lambda_set
     block_gens = tuple(b.name for b in g.partition if b.name not in lam)
+    vertices = set(g.vertices)
     for name in block_gens:
-        if name in g.vertices:
+        if name in vertices:
             raise GraphError(
                 f"block {name!r} outside lambda collides with a vertex name; "
                 "rename one of them"
@@ -117,16 +139,13 @@ def build_presentation(g: SeparatedGraph) -> Presentation:
 
     relations = []
     for block in g.partition:
-        src = g.block_source(block)
-        lhs = [0] * dim
-        lhs[index[src]] = 1
-        rhs = [0] * dim
-        for edge_name in block.edges:
-            rhs[index[g.edge(edge_name).tgt]] += 1
+        lhs = ((index[g.block_source(block)], 1),)
+        rhs = Counter(index[g.edge(name).tgt] for name in block.edges)
         in_lambda = block.name in lam
         if not in_lambda:
             rhs[index[block.name]] = 1
-        relations.append(Relation(block.name, tuple(lhs), tuple(rhs), in_lambda))
+        rhs_terms = tuple(sorted(rhs.items()))
+        relations.append(Relation(block.name, lhs, rhs_terms, in_lambda, dim))
     return Presentation(g, generators, tuple(relations))
 
 
@@ -181,15 +200,16 @@ def parse_vector(p: Presentation, text: str, signed: bool = False) -> Vec:
     return counts
 
 
+def format_terms(p: Presentation, terms) -> str:
+    """Render (index, count) terms as a formal sum, e.g. ``v + 2·w``."""
+    names = p.generators
+    parts = [names[i] if c == 1 else f"{c}·{names[i]}" for i, c in terms if c]
+    return " + ".join(parts) if parts else "0"
+
+
 def format_vector(p: Presentation, v: Vec) -> str:
     """Render a count vector as a formal sum, e.g. ``v + 2·w``."""
-    terms = []
-    for name, count in zip(p.generators, v):
-        if count == 1:
-            terms.append(name)
-        elif count:
-            terms.append(f"{count}·{name}")
-    return " + ".join(terms) if terms else "0"
+    return format_terms(p, zip(range(p.dim), v))
 
 
 def presentation_to_data(p: Presentation) -> dict:

@@ -35,6 +35,7 @@ from .presentation import (
     Vec,
     is_zero,
     vec_add,
+    vec_from_terms,
     vec_leq,
     vec_scale,
     vec_sub,
@@ -156,15 +157,15 @@ def _check_element(p: Presentation, v) -> Vec:
 
 def _compile_moves(p: Presentation) -> list[tuple]:
     """The move table: every forward move in relation order, then every
-    backward move, each as (relation, forward, need, delta).  ``need``
-    lists the (index, count) pairs of the replaced side, which must fit
-    under a state; ``delta`` is the dense change the rewrite makes."""
+    backward move, each as (relation, forward, need, delta).  ``need`` is
+    the replaced side's (index, count) terms, which must fit under a
+    state; ``delta`` is the dense change the rewrite makes."""
     moves = []
     for forward in (True, False):
         for rel in p.relations:
-            src, dst = (rel.lhs, rel.rhs) if forward else (rel.rhs, rel.lhs)
-            need = tuple((i, c) for i, c in enumerate(src) if c)
-            moves.append((rel, forward, need, vec_sub(dst, src)))
+            need = rel.lhs_terms if forward else rel.rhs_terms
+            give = rel.rhs_terms if forward else rel.lhs_terms
+            moves.append((rel, forward, need, vec_from_terms(give, p.dim, need)))
     return moves
 
 

@@ -216,6 +216,48 @@ def random_presentation(rng, max_vertices=3, max_edges=5, lam="random"):
     return presentation_of(random_graph_doc(rng, max_vertices, max_edges, lam))
 
 
+def large_graph_doc(rng, n: int, kind: str) -> dict:
+    """A seeded n-vertex document for printing tests.
+
+    About one vertex in ten is a sink; the others get 1-4 out-edges, with
+    loops and parallel edges, and the edge list is shuffled so fibers
+    interleave.  One vertex is named ``s(v1)``, the default name of v1's
+    block.  ``kind`` is "leavitt" or "cohn" (no partition, the default
+    separation in that mode) or "separated" (random blocks inside each
+    fiber, random lambda).
+    """
+    vertices = [f"v{i}" for i in range(n)]
+    vertices[n // 2] = "s(v1)"
+    pairs = []
+    for src in vertices:
+        if rng.random() < 0.1:
+            continue
+        targets = [rng.choice(vertices) for _ in range(rng.randint(1, 4))]
+        if rng.random() < 0.2:
+            targets.append(src)
+        if rng.random() < 0.2:
+            targets.append(targets[0])
+        pairs += [(src, tgt) for tgt in targets]
+    rng.shuffle(pairs)
+    edges = [
+        {"name": f"e{i}", "src": src, "tgt": tgt} for i, (src, tgt) in enumerate(pairs)
+    ]
+    if kind != "separated":
+        return {"vertices": vertices, "edges": edges, "mode": kind}
+    fibers: dict[str, list[str]] = {}
+    for e in edges:
+        fibers.setdefault(e["src"], []).append(e["name"])
+    partition = {}
+    for fiber in fibers.values():
+        rng.shuffle(fiber)
+        while fiber:
+            size = rng.randint(1, len(fiber))
+            partition[f"B{len(partition)}"] = fiber[:size]
+            fiber = fiber[size:]
+    lam = [b for b in partition if rng.random() < 0.6]
+    return {"vertices": vertices, "edges": edges, "partition": partition, "lambda": lam}
+
+
 # --------------------------------------------------------- property cases
 # Each runs one randomized check; the return value says whether the
 # non-vacuous branch was exercised.

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import random
 import subprocess
 import sys
 import time
@@ -9,7 +10,14 @@ import pytest
 
 from clk.cli import main
 
-from helpers import child_env, rose_doc, toeplitz_doc, two_block_doc
+from helpers import (
+    child_env,
+    large_graph_doc,
+    presentation_of,
+    rose_doc,
+    toeplitz_doc,
+    two_block_doc,
+)
 
 
 @pytest.fixture()
@@ -127,6 +135,50 @@ def test_one_factorization_per_call(capsys, monkeypatch, l25_path, l24_path):
         got, out = run(capsys, argv)
         assert (got, line in out.splitlines()) == (code, True), (argv, out)
         assert len(calls) == factorizations, argv
+
+
+def test_render_components_builds_the_diagram_once(capsys, monkeypatch, toeplitz_path):
+    import clk.diagrams
+    from clk import Window, build_diagram, render_dot, render_svg, window_components
+
+    p = presentation_of(toeplitz_doc())
+    w = Window((0, 4), (0, 4))
+    expected = {
+        "svg": render_svg(build_diagram(p, w), window_components(p, w)),
+        "dot": render_dot(build_diagram(p, w), window_components(p, w)),
+    }
+    calls = []
+
+    def counting(p, w):
+        calls.append(w)
+        return build_diagram(p, w)
+
+    monkeypatch.setattr(clk.diagrams, "build_diagram", counting)
+    for fmt, document in expected.items():
+        calls.clear()
+        argv = ["render", toeplitz_path, "--window", "0:4,0:4", "--components"]
+        assert run(capsys, argv + ["--format", fmt]) == (0, document)
+        assert calls == [w], fmt
+
+
+def test_info_builds_the_lambda_set_once(capsys, monkeypatch, tmp_path):
+    import clk.graphs
+
+    builds = []
+
+    def counting(items=()):
+        builds.append(1)
+        return frozenset(items)
+
+    # The set is built through the name ``frozenset`` in clk.graphs.
+    monkeypatch.setattr(clk.graphs, "frozenset", counting, raising=False)
+    path = tmp_path / "separated.json"
+    doc = large_graph_doc(random.Random(3), 300, "separated")
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out = run(capsys, ["info", str(path)])
+    assert code == 0
+    assert out.count(" ∈ Λ") == len(doc["lambda"]) > 100
+    assert len(builds) == 1
 
 
 def test_render_window_over_node_cap_exit_4(capsys, toeplitz_path):

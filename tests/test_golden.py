@@ -7,17 +7,24 @@ small ``--max-states`` that stops a search partway through a layer, so
 witnesses, visited counts and partial classes are pinned byte for byte.
 Queries whose default-budget run would enumerate 100000 states use a
 finite class or a fast answer at the default budget instead.
+
+The printing subcommands (``info`` and ``monoid``, text and JSON) are
+pinned by the sha256 and byte length of their stdout on three seeded
+300-vertex documents: a Leavitt and a Cohn graph with the default
+separation, and a separated graph with random blocks and lambda.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
+import random
 
 import pytest
 
 from clk.cli import main
 
-from helpers import cascade_doc, toeplitz_doc, two_block_doc
+from helpers import cascade_doc, large_graph_doc, toeplitz_doc, two_block_doc
 
 GRAPHS = {
     "toeplitz": toeplitz_doc(),
@@ -494,3 +501,38 @@ def test_search_subcommand_stdout(capsys, monkeypatch, tmp_path, command, code, 
     path.write_text(json.dumps(GRAPHS[graph]), encoding="utf-8")
     assert main([subcommand, str(path), *flags]) == code
     assert capsys.readouterr().out == stdout
+
+
+# (kind, seed) of each 300-vertex document, then (kind, command, sha256 of
+# stdout, byte length of stdout) per print.
+LARGE_SEEDS = {"leavitt": 1, "cohn": 2, "separated": 3}
+LARGE_PRINTS = [
+    ("leavitt", "info", "2954b6f98e2af3c2b473749e8e1b1faca47b63d6127660a8706b772da6562d3a", 39091),
+    ("leavitt", "info --json", "ef171fea505a96b2dce8fc78fd58a63854fc322af0283c37b73598734c30d85c", 390446),
+    ("leavitt", "monoid", "498519666e69d29d1153295d5fafe5b7714b5cb9fa3875a4c3feada1c2fe47e5", 15407),
+    ("leavitt", "monoid --json", "cc9b9968b454a2c2e32069a16535522dcf42e1cf47cb039e5d89f693f86cfaae", 343717),
+    ("cohn", "info", "6f37f9045cd4f9d212c4c6612b0953477309b2bf009e1c4578354c5505b12347", 41883),
+    ("cohn", "info --json", "e3c104a0df8d507d9a542a72b41c34f75133926876453197ce92c969a4cf8e27", 698703),
+    ("cohn", "monoid", "75010cfe2d5ffd9019d2299c481dbc4b3d52b7fbe220041aa51ad0830f7059a1", 16050),
+    ("cohn", "monoid --json", "9fbb5d0f4ba5ccc1442c071589eaec50e2ca88f74fa60da5d57ba8a24df11711", 655112),
+    ("separated", "info", "f09547385e4d93d15eda7ed3a7ea341b3924abfcd67d5e81d84550a3fe286de7", 43389),
+    ("separated", "info --json", "73101d3cf53c9642cadb2f6f0784ff71288846d78d50ab216ac734a5d1327053", 966819),
+    ("separated", "monoid", "0994b0d8d3256567d54033f8b79b26ca6c670113fad4d7f3aadfb44acd73e206", 19501),
+    ("separated", "monoid --json", "dc65ab5a392cc99954c39dc441f23e93cefd7471f59ea389437076e1855627f2", 920960),
+]
+
+
+@pytest.mark.parametrize(
+    "kind, command, digest, size",
+    LARGE_PRINTS,
+    ids=[f"{kind} {command}" for kind, command, _, _ in LARGE_PRINTS],
+)
+def test_large_print_stdout(capsys, monkeypatch, tmp_path, kind, command, digest, size):
+    monkeypatch.setenv("CLK_COLOR", "never")
+    doc = large_graph_doc(random.Random(LARGE_SEEDS[kind]), 300, kind)
+    path = tmp_path / f"{kind}.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    subcommand, *flags = command.split()
+    assert main([subcommand, str(path), *flags]) == 0
+    out = capsys.readouterr().out.encode("utf-8")
+    assert (hashlib.sha256(out).hexdigest(), len(out)) == (digest, size)

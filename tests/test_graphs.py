@@ -14,7 +14,7 @@ from clk import (
 )
 from clk.graphs import Edge
 
-from helpers import random_graph_doc, toeplitz_doc
+from helpers import large_graph_doc, random_graph_doc, toeplitz_doc
 
 
 def test_parse_toeplitz_document():
@@ -91,6 +91,25 @@ def test_default_separation_skips_sinks_and_isolated():
     assert len(g.partition) == 1
     assert g.block_source(g.partition[0]) == "v"
     assert g.sinks() == ("w", "u")
+
+
+def test_default_separation_keeps_fiber_order_of_interleaved_edges():
+    edges = [
+        Edge("a", "u", "w"),
+        Edge("b", "v", "w"),
+        Edge("c", "u", "v"),
+        Edge("d", "v", "u"),
+        Edge("e", "u", "u"),
+    ]
+    g = default_separation(["w", "u", "v"], edges, "leavitt")
+    assert [(b.name, b.edges) for b in g.partition] == [
+        ("s(u)", ("a", "c", "e")),
+        ("s(v)", ("b", "d")),
+    ]
+    for seed, mode in ((1, "leavitt"), (2, "cohn")):
+        g = graph_from_data(large_graph_doc(random.Random(seed), 300, mode))
+        fibers = [tuple(e.name for e in g.edges if e.src == v) for v in g.vertices]
+        assert [b.edges for b in g.partition] == [f for f in fibers if f]
 
 
 def test_default_block_names_avoid_collisions():

@@ -11,9 +11,15 @@ from clk import (
     relation_matrix,
     unit_sum,
 )
-from clk.presentation import format_vector, parse_vector, presentation_to_data
+from clk.presentation import (
+    format_terms,
+    format_vector,
+    parse_vector,
+    presentation_to_data,
+)
 
 from helpers import (
+    large_graph_doc,
     presentation_of,
     random_graph_doc,
     toeplitz_doc,
@@ -52,6 +58,18 @@ def test_cohn_toeplitz_gets_block_generator():
     assert rel.lhs == (1, 0, 0)
     assert rel.rhs == (1, 1, 1)
     assert not rel.in_lambda
+
+
+def test_block_generator_named_like_a_vertex_is_rejected():
+    doc = toeplitz_cohn_doc()
+    doc["vertices"].append("F")
+    doc["edges"].append({"name": "g", "src": "w", "tgt": "F"})
+    doc["partition"] = {"w": ["e", "f"], "F": ["g"]}
+    with pytest.raises(GraphError) as exc:
+        build_presentation(graph_from_data(doc))
+    assert str(exc.value) == (
+        "block 'w' outside lambda collides with a vertex name; rename one of them"
+    )
 
 
 def test_relation_matrix_examples():
@@ -159,3 +177,85 @@ def test_structural_invariants_on_random_graphs():
                 own = p.index(rel.name) - n_vertices
                 assert block_coords[own] == 1
                 assert sum(block_coords) == 1
+
+
+def _reference_sides(g, p):
+    """Dense (lhs, rhs) of each block relation, counted edge by edge."""
+    index = {name: i for i, name in enumerate(p.generators)}
+    edges = {e.name: e for e in g.edges}
+    sides = []
+    for block in g.partition:
+        lhs, rhs = [0] * p.dim, [0] * p.dim
+        lhs[index[edges[block.edges[0]].src]] = 1
+        for name in block.edges:
+            rhs[index[edges[name].tgt]] += 1
+        if block.name not in g.lambda_blocks:
+            rhs[index[block.name]] = 1
+        sides.append((tuple(lhs), tuple(rhs)))
+    return sides
+
+
+def _assert_sparse(terms):
+    indices = [i for i, _ in terms]
+    assert indices == sorted(set(indices)), terms
+    assert all(c > 0 for _, c in terms), terms
+
+
+def test_relation_terms_are_sparse_and_match_the_dense_sides():
+    rng = random.Random(31)
+    docs = [random_graph_doc(rng, max_vertices=5, max_edges=10) for _ in range(300)]
+    docs += [
+        large_graph_doc(random.Random(seed), 300, kind)
+        for seed, kind in enumerate(("leavitt", "cohn", "separated"), 1)
+    ]
+    for doc in docs:
+        g = graph_from_data(doc)
+        p = build_presentation(g)
+        reference = _reference_sides(g, p)
+        for rel, (lhs, rhs) in zip(p.relations, reference, strict=True):
+            _assert_sparse(rel.lhs_terms)
+            _assert_sparse(rel.rhs_terms)
+            assert rel.dim == p.dim
+            assert rel.lhs_terms == tuple((i, c) for i, c in enumerate(lhs) if c)
+            assert rel.rhs_terms == tuple((i, c) for i, c in enumerate(rhs) if c)
+            assert (rel.lhs, rel.rhs) == (lhs, rhs)
+            assert rel.row == tuple(a - b for a, b in zip(lhs, rhs))
+            assert format_terms(p, rel.rhs_terms) == format_vector(p, rhs)
+        assert relation_matrix(p) == tuple(
+            tuple(a - b for a, b in zip(lhs, rhs)) for lhs, rhs in reference
+        )
+        assert [(r["lhs"], r["rhs"]) for r in presentation_to_data(p)["relations"]] == [
+            (list(lhs), list(rhs)) for lhs, rhs in reference
+        ]
+
+
+def test_parallel_edges_add_up_and_a_loop_sits_on_both_sides():
+    doc = {
+        "vertices": ["v", "w"],
+        "edges": [
+            {"name": "e", "src": "v", "tgt": "w"},
+            {"name": "f", "src": "v", "tgt": "v"},
+            {"name": "g", "src": "v", "tgt": "w"},
+        ],
+        "partition": {"X": ["e", "f", "g"]},
+        "lambda": ["X"],
+    }
+    (rel,) = presentation_of(doc).relations
+    assert rel.lhs_terms == ((0, 1),)
+    assert rel.rhs_terms == ((0, 1), (1, 2))
+    assert (rel.lhs, rel.rhs, rel.row) == ((1, 0), (1, 2), (0, -2))
+
+    doc["lambda"] = []
+    p = presentation_of(doc)
+    (rel,) = p.relations
+    assert p.generators == ("v", "w", "X")
+    assert rel.rhs_terms == ((0, 1), (1, 2), (2, 1))
+    assert format_terms(p, rel.rhs_terms) == "v + 2·w + X"
+
+
+def test_format_terms():
+    p = presentation_of(two_block_doc(2, 5))
+    assert format_terms(p, ()) == "0"
+    assert format_terms(p, ((0, 1), (1, 3))) == "v + 3·w"
+    assert format_terms(p, ((1, -1),)) == "-1·w"
+    assert [format_terms(p, rel.rhs_terms) for rel in p.relations] == ["2·w", "5·w"]

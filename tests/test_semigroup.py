@@ -22,12 +22,15 @@ from clk import (
     torsion_type,
 )
 from clk.cli import main
+from clk.presentation import Relation, vec_sub
+from clk.semigroup import _compile_moves
 
 from helpers import (
     cascade_doc,
     closure_axioms_case,
     engine_vs_box_case,
     presentation_of,
+    random_presentation,
     soundness_case,
     toeplitz_doc,
     torsion_order_case,
@@ -314,3 +317,36 @@ def test_replay_rejects_corrupted_witness(toeplitz):
     inapplicable = (Step("E", False, (1, 0)),)
     with pytest.raises(ValueError, match="does not apply"):
         replay_witness(toeplitz, (1, 0), inapplicable)
+
+
+def test_move_table_reads_needs_from_the_relation_terms():
+    rng = random.Random(41)
+    for _ in range(200):
+        p = random_presentation(rng, max_vertices=4, max_edges=8)
+        forward = [(r, True, r.lhs_terms, vec_sub(r.rhs, r.lhs)) for r in p.relations]
+        backward = [(r, False, r.rhs_terms, vec_sub(r.lhs, r.rhs)) for r in p.relations]
+        moves = _compile_moves(p)
+        assert moves == forward + backward
+        for rel, fwd, need, _ in moves:
+            assert need is (rel.lhs_terms if fwd else rel.rhs_terms)
+
+
+def test_searches_build_no_dense_relation_sides(monkeypatch):
+    p = presentation_of(cascade_doc())
+    built = []
+
+    def counting(name):
+        view = getattr(Relation, name).fget
+
+        def dense(rel):
+            built.append(name)
+            return view(rel)
+
+        return property(dense)
+
+    for name in ("lhs", "rhs", "row"):
+        monkeypatch.setattr(Relation, name, counting(name))
+    assert class_enumerate(p, (0, 0, 3)).complete
+    assert closure_contains(p, (1, 0, 0), (0, 1, 0)).status == "yes"
+    assert not isolated_support(p, ["c"])
+    assert built == []
