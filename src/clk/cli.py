@@ -11,7 +11,6 @@ CLK_COLOR=never to suppress ANSI colors (default: auto, tty only).
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from dataclasses import replace
@@ -34,11 +33,13 @@ from .linalg import Finite
 from .presentation import (
     Presentation,
     build_presentation,
+    compact_json,
     format_terms,
     format_vector,
     full_unit_sum,
+    parse_int,
     parse_vector,
-    presentation_to_data,
+    presentation_json,
 )
 from .semigroup import (
     Budget,
@@ -109,7 +110,7 @@ def _budget(args) -> Budget:
 
 
 def _emit_json(data) -> None:
-    print(json.dumps(data, separators=(",", ":"), ensure_ascii=False))
+    print(compact_json(data))
 
 
 def _group_string(free_rank: int, factors) -> str:
@@ -347,7 +348,7 @@ def cmd_monoid(args) -> int:
 
     # No query flag: emit the presentation itself.
     if args.json:
-        _emit_json(presentation_to_data(p))
+        print(presentation_json(p))
     else:
         print("generators: " + ", ".join(p.generators))
         for rel in p.relations:
@@ -374,8 +375,8 @@ def cmd_render(args) -> int:
 def _parse_window(text: str, domain_flag: str) -> Window:
     try:
         xpart, ypart = text.split(",")
-        x0, x1 = (int(s) for s in xpart.split(":"))
-        y0, y1 = (int(s) for s in ypart.split(":"))
+        x0, x1 = (parse_int(s) for s in xpart.split(":"))
+        y0, y1 = (parse_int(s) for s in ypart.split(":"))
     except ValueError:
         raise GraphError(
             f"--window wants 'X0:X1,Y0:Y1', got {text!r}"
@@ -387,9 +388,8 @@ def _parse_window(text: str, domain_flag: str) -> Window:
 def cmd_info(args) -> int:
     graph, p = _load(args)
     if args.json:
-        _emit_json(
-            {"graph": graph_to_data(graph), "presentation": presentation_to_data(p)}
-        )
+        graph_json = compact_json(graph_to_data(graph))
+        print(f'{{"graph":{graph_json},"presentation":{presentation_json(p)}}}')
         return EXIT_OK
     print(f"vertices ({len(graph.vertices)}): " + ", ".join(graph.vertices))
     print(f"edges ({len(graph.edges)}):")

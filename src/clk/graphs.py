@@ -103,23 +103,21 @@ def _check_name_list(items, what) -> tuple[str, ...]:
         if name in seen:
             raise GraphError(f"duplicate name {name!r} in {what}")
         seen.add(name)
+        try:
+            name.encode("utf-8")  # fails on a lone surrogate such as "\ud800"
+        except UnicodeEncodeError:
+            raise GraphError(f"{what} entry {name!r} is not valid UTF-8") from None
     return tuple(items)
 
 
 def validate_graph(g: SeparatedGraph) -> SeparatedGraph:
     """Check every structural invariant; return ``g`` unchanged on success."""
-    _check_name_list(list(g.vertices), "vertices")
-    if not g.vertices:
+    vset = set(_check_name_list(list(g.vertices), "vertices"))
+    if not vset:
         raise GraphError("vertices must be nonempty")
-    vset = set(g.vertices)
 
-    seen_edges = set()
+    _check_name_list([e.name for e in g.edges], "edges")
     for e in g.edges:
-        if not e.name:
-            raise GraphError("edge names must be nonempty")
-        if e.name in seen_edges:
-            raise GraphError(f"duplicate edge name {e.name!r}")
-        seen_edges.add(e.name)
         if e.src not in vset:
             raise GraphError(f"edge {e.name!r} has unknown source vertex {e.src!r}")
         if e.tgt not in vset:
@@ -127,13 +125,8 @@ def validate_graph(g: SeparatedGraph) -> SeparatedGraph:
     src_of = {e.name: e.src for e in g.edges}
 
     covered: set[str] = set()
-    block_names = set()
+    block_names = set(_check_name_list([b.name for b in g.partition], "blocks"))
     for block in g.partition:
-        if not block.name:
-            raise GraphError("block names must be nonempty")
-        if block.name in block_names:
-            raise GraphError(f"duplicate block name {block.name!r}")
-        block_names.add(block.name)
         if not block.edges:
             raise GraphError(f"block {block.name!r} is empty")
         sources = set()
@@ -149,17 +142,13 @@ def validate_graph(g: SeparatedGraph) -> SeparatedGraph:
                 f"block {block.name!r} mixes edges from sources "
                 f"{sorted(sources)!r}; blocks must sit inside one fiber"
             )
-    missing = seen_edges - covered
+    missing = src_of.keys() - covered
     if missing:
         raise GraphError(f"edges not covered by any block: {sorted(missing)!r}")
 
-    lambda_seen = set()
-    for name in g.lambda_blocks:
+    for name in _check_name_list(list(g.lambda_blocks), "lambda"):
         if name not in block_names:
             raise GraphError(f"lambda references unknown block {name!r}")
-        if name in lambda_seen:
-            raise GraphError(f"duplicate lambda entry {name!r}")
-        lambda_seen.add(name)
     return g
 
 

@@ -14,11 +14,14 @@ generator list ("multivecs"), stored as plain int tuples; the semigroup
 itself consists of the nonzero vectors modulo the rewriting closure of the
 relations (see :mod:`clk.semigroup`).  Relation sides are sparse terms;
 subtracting each relation's sides gives a dense integer matrix whose
-cokernel is the K0 group of the associated path algebra.
+cokernel is the K0 group of the associated path algebra.  The JSON text
+of ``presentation_to_data`` is written from the terms by ``presentation_json``.
 """
 
 from __future__ import annotations
 
+import json
+import re
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
@@ -29,6 +32,10 @@ from .linalg import SNFResult, smith_normal_form
 Vec = tuple[int, ...]
 # Sparse vector: (index, count) pairs sorted by index, with no zero counts.
 Terms = tuple[tuple[int, int], ...]
+
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+# json.dumps(data, separators=(",", ":"), ensure_ascii=False), encoder built once.
+compact_json = json.JSONEncoder(separators=(",", ":"), ensure_ascii=False).encode
 
 
 def vec_add(u: Vec, v: Vec) -> Vec:
@@ -185,9 +192,8 @@ def parse_vector(p: Presentation, text: str, signed: bool = False) -> Vec:
     Semigroup elements are nonnegative; pass ``signed=True`` for group
     elements (arbitrary integers).
     """
-    parts = [s.strip() for s in text.split(",")]
     try:
-        counts = tuple(int(s) for s in parts)
+        counts = tuple(parse_int(s) for s in text.split(","))
     except ValueError:
         raise GraphError(f"malformed vector {text!r}") from None
     if len(counts) != p.dim:
@@ -198,6 +204,14 @@ def parse_vector(p: Presentation, text: str, signed: bool = False) -> Vec:
     if not signed and any(c < 0 for c in counts):
         raise GraphError(f"vector {text!r} has negative counts")
     return counts
+
+
+def parse_int(text: str) -> int:
+    """An optional sign and ASCII digits, surrounding whitespace allowed."""
+    text = text.strip()
+    if not _INTEGER.fullmatch(text):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
 
 
 def format_terms(p: Presentation, terms) -> str:
@@ -225,3 +239,27 @@ def presentation_to_data(p: Presentation) -> dict:
             for rel in p.relations
         ],
     }
+
+
+def presentation_json(p: Presentation) -> str:
+    """``compact_json(presentation_to_data(p))``, with no dense side built.
+
+    Each side splices its terms into one shared ``0,0,...,0`` string, in
+    which generator i sits at offset 2i.
+    """
+    zeros = ",".join("0" * p.dim)
+
+    def side(terms: Terms) -> str:
+        parts, at = ["["], 0
+        for i, c in terms:
+            parts += (zeros[at : 2 * i], str(c))
+            at = 2 * i + 1
+        return "".join(parts) + zeros[at:] + "]"
+
+    relations = ",".join(
+        f'{{"name":{compact_json(rel.name)},"lhs":{side(rel.lhs_terms)},"rhs":'
+        f'{side(rel.rhs_terms)},"in_lambda":{("false", "true")[rel.in_lambda]}}}'
+        for rel in p.relations
+    )
+    generators = compact_json(list(p.generators))
+    return f'{{"generators":{generators},"relations":[{relations}]}}'

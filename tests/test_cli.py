@@ -181,6 +181,41 @@ def test_info_builds_the_lambda_set_once(capsys, monkeypatch, tmp_path):
     assert len(builds) == 1
 
 
+def test_json_prints_build_no_dense_relation_sides(capsys, monkeypatch, tmp_path):
+    import clk.cli
+    import clk.presentation
+    from clk.graphs import graph_to_data
+    from clk.presentation import Relation, presentation_to_data
+
+    doc = large_graph_doc(random.Random(3), 40, "separated")
+    path = tmp_path / "separated.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    p = presentation_of(doc)
+    info = {"graph": graph_to_data(p.graph), "presentation": presentation_to_data(p)}
+    expected = {
+        command: json.dumps(data, separators=(",", ":"), ensure_ascii=False) + "\n"
+        for command, data in (("monoid", info["presentation"]), ("info", info))
+    }
+    calls = []
+
+    def counting(name, original):
+        def wrapper(*args):
+            calls.append(name)
+            return original(*args)
+
+        return wrapper
+
+    to_data = counting("presentation_to_data", presentation_to_data)
+    monkeypatch.setattr(clk.presentation, "presentation_to_data", to_data)
+    monkeypatch.setattr(clk.cli, "presentation_to_data", to_data, raising=False)
+    for name in ("lhs", "rhs", "row"):
+        view = counting(name, getattr(Relation, name).fget)
+        monkeypatch.setattr(Relation, name, property(view))
+    for command, stdout in expected.items():
+        assert run(capsys, [command, str(path), "--json"]) == (0, stdout)
+    assert calls == []
+
+
 def test_render_window_over_node_cap_exit_4(capsys, toeplitz_path):
     start = time.perf_counter()
     code = main(["render", toeplitz_path, "--window", "0:100000,0:100000"])
@@ -190,6 +225,24 @@ def test_render_window_over_node_cap_exit_4(capsys, toeplitz_path):
     assert captured.out == ""
     assert captured.err.startswith("error: window has 10000200001 lattice points")
     assert elapsed < 1.0
+
+
+@pytest.mark.parametrize("bad", ["1_0", "١", "１", "²"])
+def test_integers_outside_ascii_decimal_exit_4(capsys, toeplitz_path, bad):
+    vector, window = "error: malformed vector", "error: --window wants"
+    argvs = [
+        (["monoid", toeplitz_path, "--class", f"{bad},0"], vector),
+        (["k0", toeplitz_path, "--element", f"0,{bad}"], vector),
+        (["render", toeplitz_path, "--window", f"0:{bad},0:4"], window),
+        (["render", toeplitz_path, "--window", f"0:4,{bad}:9"], window),
+    ]
+    for argv, message in argvs:
+        assert main(argv) == 4, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(message), argv
+    code, _ = run(capsys, ["render", toeplitz_path, "--window", " 0 : +1 ,0:1"])
+    assert code == 0
 
 
 def test_k0_json_matches_schema(capsys, l25_path, toeplitz_path, tmp_path):
@@ -348,6 +401,27 @@ def test_byte_identical_output_across_processes(tmp_path):
     assert first.stdout == second.stdout
     data = json.loads(first.stdout)
     assert data["verdict"] == {"kind": "non-ibn", "type": [2, 5]}
+
+
+def test_lone_surrogate_name_exits_4(capsys, monkeypatch):
+    import io
+
+    doc = b'{"vertices": ["\\ud800"], "edges": []}'
+    for argv in (["info", "-"], ["info", "-", "--json"], ["monoid", "-", "--json"]):
+        stdin = type("S", (), {"buffer": io.BytesIO(doc)})()
+        monkeypatch.setattr(sys, "stdin", stdin)
+        assert main(argv) == 4, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: vertices entry '\\ud800' is not valid UTF-8\n"
+    child = subprocess.run(
+        [sys.executable, "-m", "clk", "info", "-"],
+        input=doc,
+        capture_output=True,
+        env=child_env(),
+    )
+    assert (child.returncode, child.stdout) == (4, b""), child.stderr
+    assert child.stderr == b"error: vertices entry '\\ud800' is not valid UTF-8\n"
 
 
 def test_json_parseable_for_every_non_error_exit(capsys, toeplitz_path, l25_path):

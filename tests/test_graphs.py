@@ -236,3 +236,33 @@ def test_fuzzed_mutations_never_pass_silently():
         assert needle in str(exc_info.value)
         rejected += 1
     assert rejected == 300
+
+
+@pytest.mark.parametrize(
+    "what, document",
+    [
+        ("vertices", '{"vertices": ["v", "\\ud800"], "edges": []}'),
+        (
+            "edges",
+            '{"vertices": ["v"],'
+            ' "edges": [{"name": "\\udfff", "src": "v", "tgt": "v"}]}',
+        ),
+        (
+            "blocks",
+            '{"vertices": ["v"], "edges": [{"name": "e", "src": "v", "tgt": "v"}],'
+            ' "partition": {"X\\ud800": ["e"]}, "lambda": []}',
+        ),
+        (
+            "lambda",
+            '{"vertices": ["v"], "edges": [{"name": "e", "src": "v", "tgt": "v"}],'
+            ' "partition": {"X": ["e"]}, "lambda": ["X", "\\udbff"]}',
+        ),
+    ],
+)
+def test_names_that_are_not_utf8_rejected(what, document):
+    # A JSON \u escape can decode to a lone surrogate, which no output encodes.
+    with pytest.raises(GraphError) as exc_info:
+        parse_graph(document)
+    message = str(exc_info.value)
+    assert message.startswith(f"{what} entry '") and "\\ud" in message
+    assert message.endswith("' is not valid UTF-8")

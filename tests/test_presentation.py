@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
@@ -14,7 +15,9 @@ from clk import (
 from clk.presentation import (
     format_terms,
     format_vector,
+    parse_int,
     parse_vector,
+    presentation_json,
     presentation_to_data,
 )
 
@@ -259,3 +262,101 @@ def test_format_terms():
     assert format_terms(p, ((0, 1), (1, 3))) == "v + 3·w"
     assert format_terms(p, ((1, -1),)) == "-1·w"
     assert [format_terms(p, rel.rhs_terms) for rel in p.relations] == ["2·w", "5·w"]
+
+
+@pytest.mark.parametrize(
+    "text", ["1_0,0", "١,٢", "１,2", "0x1,0", "1e0,0", "+-1,0", "1 0,0"]
+)
+def test_parse_vector_rejects_all_but_ascii_decimal_integers(text):
+    p = presentation_of(toeplitz_doc())
+    with pytest.raises(GraphError, match="malformed vector"):
+        parse_vector(p, text)
+
+
+def test_parse_int_takes_a_sign_and_ascii_digits():
+    texts = ("0", " +7 ", "-12", "\t3\n", "007")
+    assert [parse_int(s) for s in texts] == [0, 7, -12, 3, 7]
+    for text in ("", "+", "1_0", "٣", "３", "²", "0b1", "1.0"):
+        with pytest.raises(ValueError):
+            parse_int(text)
+    p = presentation_of(toeplitz_doc())
+    assert parse_vector(p, " +1 , 0", signed=True) == (1, 0)
+
+
+def _oracle_json(p) -> str:
+    data = presentation_to_data(p)
+    return json.dumps(data, separators=(",", ":"), ensure_ascii=False)
+
+
+# Characters that JSON escapes or writes as non-ASCII text, and one plain letter.
+ODD = ['"', "\\", "\n", "\x01", "\u2028", "ψ", "\U0001d54a", "a"]
+
+
+def _odd_names(rng, doc: dict) -> dict:
+    """``doc`` with every vertex, edge and block renamed around ODD characters."""
+
+    def rename(names, tag):
+        # The trailing tag and index keep the names distinct.
+        return {
+            name: "".join(rng.choices(ODD, k=rng.randint(0, 3))) + f"{tag}{i}"
+            for i, name in enumerate(names)
+        }
+
+    v = rename(doc["vertices"], "v")
+    e = rename([edge["name"] for edge in doc["edges"]], "e")
+    b = rename(doc["partition"], "B")
+    return {
+        "vertices": [v[name] for name in doc["vertices"]],
+        "edges": [
+            {"name": e[edge["name"]], "src": v[edge["src"]], "tgt": v[edge["tgt"]]}
+            for edge in doc["edges"]
+        ],
+        "partition": {
+            b[name]: [e[x] for x in xs] for name, xs in doc["partition"].items()
+        },
+        "lambda": [b[name] for name in doc["lambda"]],
+    }
+
+
+def _edge_doc(targets, lam) -> dict:
+    """One block X holding an edge from v to each of ``targets``."""
+    vertices = sorted({"v", *targets})
+    edges = [{"name": f"e{i}", "src": "v", "tgt": t} for i, t in enumerate(targets)]
+    partition = {"X": [edge["name"] for edge in edges]}
+    return {"vertices": vertices, "edges": edges, "partition": partition, "lambda": lam}
+
+
+def test_presentation_json_matches_the_dense_oracle():
+    rng = random.Random(41)
+    docs = [
+        large_graph_doc(random.Random(seed), 300, kind)
+        for seed, kind in enumerate(("leavitt", "cohn", "separated"), 1)
+    ]
+    docs += [
+        _odd_names(rng, random_graph_doc(rng, max_vertices=5, max_edges=10))
+        for _ in range(300)
+    ]
+    docs += [
+        # parallel edges counted to 12 and 10 loops, in and outside lambda
+        _edge_doc(["w"] * 12 + ["v"] * 10, ["X"]),
+        _edge_doc(["w"] * 12 + ["v"] * 10, []),
+        # dim 1: one vertex with 11 loops, then no edge at all
+        _edge_doc(["v"] * 11, ["X"]),
+        {"vertices": ["v"], "edges": []},
+        # every vertex a sink: no relations
+        {"vertices": ["a", "b", "c"], "edges": [], "mode": "cohn"},
+    ]
+    dims, texts = set(), []
+    for doc in docs:
+        p = presentation_of(doc)
+        dims.add(p.dim)
+        texts.append(presentation_json(p))
+        assert texts[-1] == _oracle_json(p), doc
+    assert 1 in dims
+    every = "".join(texts)
+    for written in ('\\"', "\\\\", "\\n", "\\u0001", "\u2028", "ψ", "\U0001d54a"):
+        assert written in every
+    assert presentation_json(presentation_of(docs[-2])) == (
+        '{"generators":["v"],"relations":[]}'
+    )
+    assert '"rhs":[10,12,1]' in presentation_json(presentation_of(docs[-4]))
